@@ -56,7 +56,6 @@ def export_catalog(
     os.environ["REPRO_STORE_DIR"] = str(store_dir)
     from repro.harness.export import export_experiment
     from repro.harness.runner import LrsynHtmlMethod
-    from repro.store import shared_store
 
     names = [f"forge{index:03d}" for index in range(providers)]
     return export_experiment(
@@ -66,7 +65,6 @@ def export_catalog(
         train_size=train,
         test_size=test,
         seed=seed,
-        store=shared_store(),
     )
 
 

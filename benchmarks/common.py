@@ -25,15 +25,11 @@ import sys
 import time
 
 from repro.core.caching import StageTimer, cache_enabled, use_timer
-from repro.core.store import store_enabled
+from repro.store import store_enabled
 from repro.harness.sharding import env_shard
 from repro.harness.ablations import run_ablations_experiment
-from repro.harness.images import (
-    AfrMethod,
-    LrsynImageMethod,
-    run_finance_experiment,
-    run_m2h_images_experiment,
-)
+from repro.harness.experiments import run_experiment
+from repro.harness.images import AfrMethod, LrsynImageMethod
 from repro.harness.reporting import record_synthesis_speed, timings_table
 from repro.harness.runner import (
     ForgivingXPathsMethod,
@@ -146,7 +142,8 @@ def m2h_results(seed: int = 0):
 def finance_results(seed: int = 0):
     return timed_experiment(
         "finance",
-        run_finance_experiment,
+        run_experiment,
+        "finance",
         [AfrMethod(), LrsynImageMethod()],
         seed=seed,
     )
@@ -156,7 +153,8 @@ def finance_results(seed: int = 0):
 def m2h_images_results(seed: int = 0):
     return timed_experiment(
         "m2h_images",
-        run_m2h_images_experiment,
+        run_experiment,
+        "m2h_images",
         [AfrMethod(), LrsynImageMethod()],
         seed=seed,
     )

@@ -75,7 +75,7 @@ def store_is_warm() -> bool:
     single cold run across its field tasks.
     """
     sys.path.insert(0, str(REPO / "src"))
-    from repro.core.store import BlueprintStore
+    from repro.store import BlueprintStore
 
     directory = os.environ.get("REPRO_STORE_DIR")
     store = BlueprintStore(directory=directory, enabled=True)

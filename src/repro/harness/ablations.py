@@ -1,4 +1,4 @@
-"""Ablation experiment driver: mechanism x provider x field tasks.
+"""The ablation experiment: mechanism x provider x field tasks.
 
 The ablation bench (``benchmarks/bench_ablations.py``) quantifies two of
 LRSyn's design mechanisms against corpora from the real datasets:
@@ -13,8 +13,8 @@ LRSyn's design mechanisms against corpora from the real datasets:
   ``getthere`` fields whose "Depart:" landmark also occurs in the car
   section.
 
-Each canonical task is ``(mechanism, provider, field)``; the driver runs
-the mechanism's baseline *and* ablated method variant on the task's
+Each canonical task is ``(mechanism, provider, field)``; the experiment
+runs the mechanism's baseline *and* ablated method variant on the task's
 corpus and labels results with the mechanism in ``FieldResult.setting``.
 Everything routes through the harness layer (:func:`cached_corpora`,
 :func:`train_method` via :func:`evaluate_on_corpus`, the ``REPRO_JOBS``
@@ -33,30 +33,22 @@ generator to cache and completes in milliseconds.)
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Sequence
 
-from repro.core.caching import active_timer
 from repro.datasets.base import Corpus
 from repro.harness.images import IMAGE_CONFIG, LrsynImageMethod, image_corpus
 from repro.harness.runner import (
     FieldResult,
     LrsynHtmlMethod,
     Method,
+    default_sizes,
     evaluate_on_corpus,
-    jobs,
     m2h_contemporary_corpus,
-    resolve_tasks,
-    run_field_jobs,
     scaled,
 )
 
 BLUEPRINT_MECHANISM = "blueprint"
 HIERARCHY_MECHANISM = "hierarchy"
-ABLATION_SETTINGS: tuple[str, ...] = (
-    BLUEPRINT_MECHANISM,
-    HIERARCHY_MECHANISM,
-)
 
 TaskKey = tuple[str, str, str]
 
@@ -94,7 +86,8 @@ def ablation_methods() -> list[Method]:
     return [gated, ungated, hierarchical, flat]
 
 
-def _mechanism_variants(mechanism: str) -> list[Method]:
+def mechanism_variants(mechanism: str) -> list[Method]:
+    """The (baseline, ablated) method pair of one mechanism."""
     methods = ablation_methods()
     if mechanism == BLUEPRINT_MECHANISM:
         return methods[:2]
@@ -103,27 +96,7 @@ def _mechanism_variants(mechanism: str) -> list[Method]:
     raise ValueError(f"unknown ablation mechanism {mechanism!r}")
 
 
-def _mechanism_sizes(
-    mechanism: str, train_size: int | None, test_size: int | None
-) -> tuple[int, int]:
-    """Corpus sizes per mechanism (explicit overrides win).
-
-    Defaults reproduce the pre-refactor bench at the default
-    ``REPRO_SCALE=0.15``: blueprint 10/40 (the finance experiment's fixed
-    10 training images), hierarchy 20/60.
-    """
-    if mechanism == BLUEPRINT_MECHANISM:
-        return (
-            train_size if train_size is not None else 10,
-            test_size if test_size is not None else scaled(267, minimum=16),
-        )
-    return (
-        train_size if train_size is not None else scaled(133, minimum=10),
-        test_size if test_size is not None else scaled(400, minimum=20),
-    )
-
-
-def _ablation_corpus(
+def ablation_corpus(
     mechanism: str,
     provider: str,
     train_size: int,
@@ -133,6 +106,38 @@ def _ablation_corpus(
     if mechanism == BLUEPRINT_MECHANISM:
         return image_corpus("finance", provider, train_size, test_size, seed)
     return m2h_contemporary_corpus(provider, train_size, test_size, seed)
+
+
+def ablation_settings() -> tuple[str, ...]:
+    """The setting axis: one mechanism per setting slot."""
+    return (BLUEPRINT_MECHANISM, HIERARCHY_MECHANISM)
+
+
+def ablation_corpus_key(task: TaskKey, sizes: tuple, seed: int) -> tuple:
+    # Explicit sizes override both mechanisms.  The defaults reproduce the
+    # original bench at REPRO_SCALE=0.15: blueprint 10/40 (the finance
+    # experiment's ten training images), hierarchy 20/60.
+    mechanism, provider, _ = task
+    if mechanism == BLUEPRINT_MECHANISM:
+        defaults = (10, scaled(267, minimum=16))
+    else:
+        defaults = (scaled(133, minimum=10), scaled(400, minimum=20))
+    return (mechanism, provider, *default_sizes(sizes, *defaults), seed)
+
+
+def evaluate_mechanism(
+    methods: Sequence[Method], corpus: Corpus, task: TaskKey
+) -> list[FieldResult]:
+    """One ablation task: the mechanism's (baseline, ablated) pair.
+
+    ``methods`` is ignored: the variant pair is the experiment's
+    definition (see :func:`ablation_methods`).
+    """
+    mechanism, provider, field = task
+    return [
+        evaluate_on_corpus(method, corpus, provider, field, mechanism)
+        for method in mechanism_variants(mechanism)
+    ]
 
 
 def run_ablations_experiment(
@@ -145,67 +150,15 @@ def run_ablations_experiment(
 ) -> list[FieldResult]:
     """Run the ablation tasks; two results (baseline, ablated) per task.
 
-    ``methods`` is accepted for driver-signature uniformity with the
-    table experiments but ignored: the variant pairs are fixed per
-    mechanism (see :func:`ablation_methods`).  ``train_size`` /
-    ``test_size`` override both mechanisms' corpus sizes (test-suite
-    shrinking); default sizes are per mechanism.
+    ``methods`` is accepted for signature uniformity with the table
+    experiments but ignored: the variant pairs are fixed per mechanism
+    (see :func:`ablation_methods`).  ``train_size`` / ``test_size``
+    override both mechanisms' corpus sizes (test-suite shrinking);
+    default sizes are per mechanism.
     """
-    del methods  # the variant set is the experiment definition
-    run_tasks = resolve_tasks(
-        ablation_tasks(), shard, tasks, experiment="ablations"
+    from repro.harness.experiments import run_experiment
+
+    return run_experiment(
+        "ablations", methods, tasks, seed, shard=shard,
+        train_size=train_size, test_size=test_size,
     )
-    if jobs() > 1:
-        return run_field_jobs(
-            _ablation_field_task,
-            [
-                (mechanism, provider, field, train_size, test_size, seed)
-                for mechanism, provider, field in run_tasks
-            ],
-        )
-    results: list[FieldResult] = []
-    corpus: Corpus | None = None
-    current: tuple[str, str] | None = None
-    for mechanism, provider, field in run_tasks:
-        with active_timer().task((mechanism, provider, field)):
-            sizes = _mechanism_sizes(mechanism, train_size, test_size)
-            if (mechanism, provider) != current:
-                corpus = _ablation_corpus(mechanism, provider, *sizes, seed)
-                current = (mechanism, provider)
-            for method in _mechanism_variants(mechanism):
-                results.append(
-                    evaluate_on_corpus(
-                        method, corpus, provider, field, mechanism
-                    )
-                )
-    return results
-
-
-def _ablation_field_task(
-    mechanism: str,
-    provider: str,
-    field: str,
-    train_size: int | None,
-    test_size: int | None,
-    seed: int,
-) -> list[FieldResult]:
-    """One parallel unit of :func:`run_ablations_experiment`."""
-    with active_timer().task((mechanism, provider, field)):
-        sizes = _mechanism_sizes(mechanism, train_size, test_size)
-        corpus = _worker_ablation_corpus(mechanism, provider, *sizes, seed)
-        return [
-            evaluate_on_corpus(method, corpus, provider, field, mechanism)
-            for method in _mechanism_variants(mechanism)
-        ]
-
-
-@functools.lru_cache(maxsize=2)
-def _worker_ablation_corpus(
-    mechanism: str,
-    provider: str,
-    train_size: int,
-    test_size: int,
-    seed: int,
-) -> Corpus:
-    """Per-worker corpus memo (see ``_worker_m2h_corpora``)."""
-    return _ablation_corpus(mechanism, provider, train_size, test_size, seed)

@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 import repro.store as store_mod
 from repro.core.caching import cache_enabled
 from repro.core.document import SynthesisFailure, TrainingExample
+from repro.datasets.base import CONTEMPORARY
 from repro.store import entry_key, shared_store
 
 from repro.harness.runner import (
@@ -40,8 +41,6 @@ from repro.harness.runner import (
     NdsynMethod,
     ForgivingXPathsMethod,
     _program_store_key,
-    m2h_contemporary_corpus,
-    scaled,
     train_method,
 )
 
@@ -94,7 +93,6 @@ def export_field(
     field: str,
     method: Method,
     training: Sequence[TrainingExample],
-    store=None,
 ) -> dict:
     """Train (or warm-load) one program and index it for serving.
 
@@ -106,7 +104,7 @@ def export_field(
     (:func:`repro.harness.runner.picklable_or_none`) is exported as
     ``unpicklable`` for the same reason.
     """
-    store = store if store is not None else shared_store()
+    store = shared_store()
     key = _program_store_key(method, training)
     if key is None:
         raise RuntimeError(
@@ -155,54 +153,9 @@ METHOD_FACTORIES: dict[str, Callable[[], Method]] = {
     "ForgivingXPaths": ForgivingXPathsMethod,
 }
 
-
-def _forge_tasks() -> list[tuple[str, str]]:
-    from repro.datasets import forge
-
-    return [
-        (provider, field)
-        for provider in forge.forge_providers()
-        for field in forge.fields_for(provider)
-    ]
-
-
-def _forge_training_corpus(provider: str, train_size, test_size, seed):
-    from repro.datasets.base import CONTEMPORARY
-    from repro.harness.forge import forge_corpora, forge_html_sizes
-
-    default_train, default_test = forge_html_sizes()
-    return forge_corpora(
-        provider,
-        train_size if train_size is not None else default_train,
-        test_size if test_size is not None else default_test,
-        seed,
-    )[CONTEMPORARY]
-
-
-def _m2h_tasks() -> list[tuple[str, str]]:
-    from repro.datasets import m2h
-
-    return [
-        (provider, field)
-        for provider in m2h.PROVIDERS
-        for field in m2h.fields_for(provider)
-    ]
-
-
-def _m2h_training_corpus(provider: str, train_size, test_size, seed):
-    return m2h_contemporary_corpus(
-        provider,
-        train_size if train_size is not None else scaled(60),
-        test_size if test_size is not None else scaled(520, minimum=30),
-        seed,
-    )
-
-
-# dataset -> (task enumerator, contemporary-training-corpus loader).
-EXPORTABLE: dict[str, tuple[Callable, Callable]] = {
-    "forge_html": (_forge_tasks, _forge_training_corpus),
-    "m2h": (_m2h_tasks, _m2h_training_corpus),
-}
+# The registered experiments whose programs the HTML server can route:
+# (provider, field) tasks over {setting: corpus} sets.
+HTML_EXPERIMENTS = ("forge_html", "m2h")
 
 
 def export_experiment(
@@ -212,22 +165,27 @@ def export_experiment(
     train_size: int | None = None,
     test_size: int | None = None,
     seed: int = 0,
-    store=None,
 ) -> dict:
     """Export every (provider, field, method) program of one experiment.
 
-    Rides the warm store: providers already trained by a harness run cost
-    one program-store hit per field, a cold store trains for real.
-    Returns a report ``{"experiment", "entries": [...], "counts":
-    {status: n}}`` and flushes the store so another process (the serving
-    daemon) sees the rows immediately.
+    Tasks and training corpora come from the experiment registry, so an
+    export trains on exactly the documents a harness run of the same
+    sizes and seed trains on.  Rides the warm store: providers already
+    trained by a harness run cost one program-store hit per field, a cold
+    store trains for real.  Training, the pickle probe and the catalog
+    rows all go through ``shared_store()``.  Returns a report
+    ``{"experiment", "entries": [...], "counts": {status: n}}`` and
+    flushes the store so another process (the serving daemon) sees the
+    rows immediately.
     """
-    if experiment not in EXPORTABLE:
+    from repro.harness.experiments import get_experiment
+
+    if experiment not in HTML_EXPERIMENTS:
         raise ValueError(
             f"unknown experiment {experiment!r}:"
-            f" exportable are {'/'.join(sorted(EXPORTABLE))}"
+            f" exportable are {'/'.join(sorted(HTML_EXPERIMENTS))}"
         )
-    store = store if store is not None else shared_store()
+    store = shared_store()
     if not store.enabled or not cache_enabled():
         raise RuntimeError(
             "serving export writes the persistent store: REPRO_STORE=0 /"
@@ -238,25 +196,25 @@ def export_experiment(
     methods = [
         METHOD_FACTORIES[m]() if isinstance(m, str) else m for m in methods
     ]
-    tasks_fn, corpus_fn = EXPORTABLE[experiment]
-    tasks = tasks_fn()
+    spec = get_experiment(experiment)
+    tasks = spec.tasks()
     if providers is not None:
         wanted = set(providers)
         tasks = [task for task in tasks if task[0] in wanted]
     entries: list[dict] = []
     counts: dict[str, int] = {}
-    corpus = None
-    current: str | None = None
-    for provider, field in tasks:
-        if provider != current:
-            corpus = corpus_fn(provider, train_size, test_size, seed)
-            current = provider
+    corpus = current = None
+    for task in tasks:
+        provider, field = task
+        key = spec.corpus_key(task, (train_size, test_size), seed)
+        if key != current:
+            corpus, current = spec.build(*key)[CONTEMPORARY], key
         training = corpus.training_examples(field)
         if not training:
             continue
         for method in methods:
             entry = export_field(
-                experiment, provider, field, method, training, store=store
+                experiment, provider, field, method, training
             )
             entries.append(entry)
             counts[entry["status"]] = counts.get(entry["status"], 0) + 1

@@ -1,21 +1,19 @@
-"""Forge experiment drivers: the synthetic corpus as a first-class workload.
+"""Forge experiments: the synthetic corpus as a first-class workload.
 
 ``forge_html`` evaluates NDSyn and LRSyn over the forged HTML providers in
 both settings (drifted longitudinal test pages); ``forge_images`` runs the
-image method set over degraded scans.  Both mirror the table drivers in
-:mod:`repro.harness.runner` / :mod:`repro.harness.images` exactly — corpus
-store, program store, ``REPRO_JOBS`` fan-out, ``REPRO_SHARD`` /
-packed-plan / work-queue task resolution — so the forge doubles as a
-store/scheduler stress workload at whatever size
-``REPRO_FORGE_PROVIDERS`` × ``REPRO_FORGE_DOCS`` dials in.
+image method set over degraded scans.  Both are ordinary entries of the
+experiment registry (:mod:`repro.harness.experiments`) — corpus store,
+program store, ``REPRO_JOBS`` fan-out, ``REPRO_SHARD`` / packed-plan /
+work-queue task resolution — so the forge doubles as a store/scheduler
+stress workload at whatever size ``REPRO_FORGE_PROVIDERS`` ×
+``REPRO_FORGE_DOCS`` dials in.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
-from repro.core.caching import active_timer
 from repro.datasets import forge
 from repro.datasets.base import CONTEMPORARY, LONGITUDINAL, Corpus
 from repro.harness.runner import (
@@ -24,10 +22,7 @@ from repro.harness.runner import (
     Method,
     NdsynMethod,
     cached_corpora,
-    evaluate_method,
-    jobs,
-    resolve_tasks,
-    run_field_jobs,
+    default_sizes,
     scale,
 )
 
@@ -50,12 +45,6 @@ def forge_image_tasks() -> list[tuple[str, str]]:
 
 def forge_html_methods() -> list[Method]:
     return [NdsynMethod(), LrsynHtmlMethod()]
-
-
-def forge_image_methods() -> list[Method]:
-    from repro.harness.images import AfrMethod, LrsynImageMethod
-
-    return [AfrMethod(), LrsynImageMethod()]
 
 
 def forge_html_sizes() -> tuple[int, int]:
@@ -99,10 +88,12 @@ def forge_corpora(
     )
 
 
-def forge_image_corpus(
+
+def forge_image_corpora(
     provider: str, train_size: int, test_size: int, seed: int
-) -> Corpus:
-    return cached_corpora(
+) -> dict[str, Corpus]:
+    """One degraded-scan forge corpus as a ``{setting: corpus}`` set."""
+    corpus = cached_corpora(
         "forge_images",
         lambda: forge.generate_image_corpus(
             provider, train_size=train_size, test_size=test_size, seed=seed
@@ -112,6 +103,15 @@ def forge_image_corpus(
         test_size=test_size,
         seed=seed,
     )
+    return {corpus.train[0].setting: corpus}
+
+
+def forge_html_corpus_key(task: tuple, sizes: tuple, seed: int) -> tuple:
+    return (task[0], *default_sizes(sizes, *forge_html_sizes()), seed)
+
+
+def forge_images_corpus_key(task: tuple, sizes: tuple, seed: int) -> tuple:
+    return (task[0], *default_sizes(sizes, *forge_image_sizes()), seed)
 
 
 def run_forge_html_experiment(
@@ -123,124 +123,9 @@ def run_forge_html_experiment(
     tasks: Sequence[tuple[str, str]] | None = None,
 ) -> list[FieldResult]:
     """The forged-provider HTML experiment (both settings)."""
-    methods = list(methods) if methods is not None else forge_html_methods()
-    default_train, default_test = forge_html_sizes()
-    train_size = train_size if train_size is not None else default_train
-    test_size = test_size if test_size is not None else default_test
-    run_tasks = resolve_tasks(
-        forge_html_tasks(), shard, tasks, experiment="forge_html"
+    from repro.harness.experiments import run_experiment
+
+    return run_experiment(
+        "forge_html", methods, tasks, seed, shard=shard,
+        train_size=train_size, test_size=test_size,
     )
-    if jobs() > 1:
-        return run_field_jobs(
-            _forge_html_field_task,
-            [
-                (list(methods), provider, field, train_size, test_size, seed)
-                for provider, field in run_tasks
-            ],
-        )
-    results: list[FieldResult] = []
-    corpora: dict[str, Corpus] | None = None
-    current_provider: str | None = None
-    for provider, field in run_tasks:
-        # Same attribution as the M2H serial loop: the timing window
-        # includes the corpus build this task triggers.
-        with active_timer().task((provider, field)):
-            if provider != current_provider:
-                corpora = forge_corpora(provider, train_size, test_size, seed)
-                current_provider = provider
-            for method in methods:
-                results.extend(
-                    evaluate_method(method, corpora, provider, field)
-                )
-    return results
-
-
-def _forge_html_field_task(
-    methods: Sequence[Method],
-    provider: str,
-    field: str,
-    train_size: int,
-    test_size: int,
-    seed: int,
-) -> list[FieldResult]:
-    with active_timer().task((provider, field)):
-        corpora = _worker_forge_corpora(provider, train_size, test_size, seed)
-        results: list[FieldResult] = []
-        for method in methods:
-            results.extend(evaluate_method(method, corpora, provider, field))
-    return results
-
-
-@functools.lru_cache(maxsize=2)
-def _worker_forge_corpora(
-    provider: str, train_size: int, test_size: int, seed: int
-) -> dict[str, Corpus]:
-    return forge_corpora(provider, train_size, test_size, seed)
-
-
-def run_forge_images_experiment(
-    methods: Sequence[Method] | None = None,
-    train_size: int | None = None,
-    test_size: int | None = None,
-    seed: int = 0,
-    shard=None,
-    tasks: Sequence[tuple[str, str]] | None = None,
-) -> list[FieldResult]:
-    """The forged-provider degraded-scan experiment (contemporary only)."""
-    methods = list(methods) if methods is not None else forge_image_methods()
-    default_train, default_test = forge_image_sizes()
-    train_size = train_size if train_size is not None else default_train
-    test_size = test_size if test_size is not None else default_test
-    run_tasks = resolve_tasks(
-        forge_image_tasks(), shard, tasks, experiment="forge_images"
-    )
-    if jobs() > 1:
-        return run_field_jobs(
-            _forge_image_field_task,
-            [
-                (list(methods), provider, field, train_size, test_size, seed)
-                for provider, field in run_tasks
-            ],
-        )
-    results: list[FieldResult] = []
-    corpora: dict[str, Corpus] | None = None
-    current_provider: str | None = None
-    for provider, field in run_tasks:
-        with active_timer().task((provider, field)):
-            if provider != current_provider:
-                corpus = forge_image_corpus(
-                    provider, train_size, test_size, seed
-                )
-                corpora = {corpus.train[0].setting: corpus}
-                current_provider = provider
-            for method in methods:
-                results.extend(
-                    evaluate_method(method, corpora, provider, field)
-                )
-    return results
-
-
-def _forge_image_field_task(
-    methods: Sequence[Method],
-    provider: str,
-    field: str,
-    train_size: int,
-    test_size: int,
-    seed: int,
-) -> list[FieldResult]:
-    with active_timer().task((provider, field)):
-        corpus = _worker_forge_image_corpus(
-            provider, train_size, test_size, seed
-        )
-        corpora = {corpus.train[0].setting: corpus}
-        results: list[FieldResult] = []
-        for method in methods:
-            results.extend(evaluate_method(method, corpora, provider, field))
-    return results
-
-
-@functools.lru_cache(maxsize=2)
-def _worker_forge_image_corpus(
-    provider: str, train_size: int, test_size: int, seed: int
-) -> Corpus:
-    return forge_image_corpus(provider, train_size, test_size, seed)

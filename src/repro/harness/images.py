@@ -1,24 +1,18 @@
-"""Image-domain experiment drivers (Tables 3, 4 and 5)."""
+"""Image-domain methods, task graphs and corpora (Tables 3, 4 and 5)."""
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
 from repro.baselines.afr import train_afr
-from repro.core.caching import active_timer
 from repro.core.document import TrainingExample
 from repro.core.dsl import Extractor, ProgramExtractor
 from repro.core.synthesis import LrsynConfig, lrsyn
 from repro.datasets import finance, m2h_images
 from repro.harness.runner import (
-    FieldResult,
     Method,
     cached_corpora,
-    evaluate_method,
-    jobs,
-    resolve_tasks,
-    run_field_jobs,
+    default_sizes,
     scaled,
 )
 from repro.images.domain import ImageDomain
@@ -64,67 +58,42 @@ class AfrMethod(Method):
         return train_afr(examples)
 
 
-def run_finance_experiment(
-    methods: Sequence[Method],
+def image_methods() -> list[Method]:
+    """The image method set: the AFR baseline and LRSyn."""
+    return [AfrMethod(), LrsynImageMethod()]
+
+
+def finance_tasks(
     doc_types: Sequence[str] = finance.DOC_TYPES,
-    train_size: int = 10,
-    test_size: int | None = None,
-    seed: int = 0,
-    shard=None,
-    tasks: Sequence[tuple[str, str]] | None = None,
-) -> list[FieldResult]:
-    """Table 3: the Finance dataset (34 field tasks, 10 training images)."""
-    test_size = test_size if test_size is not None else scaled(160, minimum=25)
-    run_tasks = resolve_tasks(
-        [
-            (doc_type, field_name)
-            for doc_type in doc_types
-            for field_name in finance.FINANCE_FIELDS[doc_type]
-        ],
-        shard,
-        tasks,
-        experiment="finance",
-    )
-    return _run_image_tasks("finance", methods, run_tasks,
-                            train_size, test_size, seed)
+) -> list[tuple[str, str]]:
+    """The Finance task graph: ``(doc_type, field)``."""
+    return [
+        (doc_type, field_name)
+        for doc_type in doc_types
+        for field_name in finance.FINANCE_FIELDS[doc_type]
+    ]
 
 
-def _run_image_tasks(
-    dataset: str,
-    methods: Sequence[Method],
-    run_tasks: Sequence[tuple[str, str]],
-    train_size: int,
-    test_size: int,
-    seed: int,
-) -> list[FieldResult]:
-    """Shared serial/parallel driver for both image experiments."""
-    if jobs() > 1:
-        return run_field_jobs(
-            _image_field_task,
-            [
-                (dataset, list(methods), provider, field_name,
-                 train_size, test_size, seed)
-                for provider, field_name in run_tasks
-            ],
-        )
-    results: list[FieldResult] = []
-    corpora: dict | None = None
-    current_provider: str | None = None
-    for provider, field_name in run_tasks:
-        # The timing window includes the corpus build the task triggers
-        # (same attribution as the HTML serial loop).
-        with active_timer().task((provider, field_name)):
-            if provider != current_provider:
-                corpus = image_corpus(
-                    dataset, provider, train_size, test_size, seed
-                )
-                corpora = {corpus.train[0].setting: corpus}
-                current_provider = provider
-            for method in methods:
-                results.extend(
-                    evaluate_method(method, corpora, provider, field_name)
-                )
-    return results
+def m2h_images_tasks(
+    providers: Sequence[str] = m2h_images.IMAGE_PROVIDERS,
+) -> list[tuple[str, str]]:
+    """The M2H-Images task graph: ``(provider, field)``."""
+    return [
+        (provider, field_name)
+        for provider in providers
+        for field_name in m2h_images.fields_for(provider)
+    ]
+
+
+def finance_corpus_key(task: tuple, sizes: tuple, seed: int) -> tuple:
+    # Table 3: ten training images per document type.
+    train, test = default_sizes(sizes, 10, scaled(160, minimum=25))
+    return ("finance", task[0], train, test, seed)
+
+
+def m2h_images_corpus_key(task: tuple, sizes: tuple, seed: int) -> tuple:
+    train, test = default_sizes(sizes, 10, scaled(120, minimum=25))
+    return ("m2h_images", task[0], train, test, seed)
 
 
 def image_corpus(
@@ -132,7 +101,7 @@ def image_corpus(
 ):
     """Generate (or load from the persistent store) one image corpus.
 
-    Shared by the table drivers here and the blueprint-check ablation
+    Shared by the image experiments and the blueprint-check ablation
     (:mod:`repro.harness.ablations`), so both hit the same corpus-store
     entries — against whichever backend ``shared_store()`` resolved
     (local sqlite, or a ``repro-store serve`` daemon via
@@ -156,59 +125,9 @@ def image_corpus(
     )
 
 
-def _image_field_task(
-    dataset: str,
-    methods: Sequence[Method],
-    provider: str,
-    field_name: str,
-    train_size: int,
-    test_size: int,
-    seed: int,
-) -> list[FieldResult]:
-    """One parallel unit of the image experiments (seeded corpus rebuild)."""
-    with active_timer().task((provider, field_name)):
-        corpus = _worker_image_corpus(
-            dataset, provider, train_size, test_size, seed
-        )
-        corpora = {corpus.train[0].setting: corpus}
-        results: list[FieldResult] = []
-        for method in methods:
-            results.extend(
-                evaluate_method(method, corpora, provider, field_name)
-            )
-    return results
-
-
-@functools.lru_cache(maxsize=2)
-def _worker_image_corpus(
+def image_corpora(
     dataset: str, provider: str, train_size: int, test_size: int, seed: int
-):
-    """Per-worker corpus memo (see ``_worker_m2h_corpora`` for the exact
-    guarantee): consecutive field tasks of one provider hit the memo
-    instead of regenerating the seeded corpus."""
-    return image_corpus(dataset, provider, train_size, test_size, seed)
-
-
-def run_m2h_images_experiment(
-    methods: Sequence[Method],
-    providers: Sequence[str] = m2h_images.IMAGE_PROVIDERS,
-    train_size: int = 10,
-    test_size: int | None = None,
-    seed: int = 0,
-    shard=None,
-    tasks: Sequence[tuple[str, str]] | None = None,
-) -> list[FieldResult]:
-    """Table 4: the M2H-Images dataset (print + scan + OCR pipeline)."""
-    test_size = test_size if test_size is not None else scaled(120, minimum=25)
-    run_tasks = resolve_tasks(
-        [
-            (provider, field_name)
-            for provider in providers
-            for field_name in m2h_images.fields_for(provider)
-        ],
-        shard,
-        tasks,
-        experiment="m2h_images",
-    )
-    return _run_image_tasks("m2h_images", methods, run_tasks,
-                            train_size, test_size, seed)
+) -> dict:
+    """:func:`image_corpus` as a one-setting ``{setting: corpus}`` set."""
+    corpus = image_corpus(dataset, provider, train_size, test_size, seed)
+    return {corpus.train[0].setting: corpus}

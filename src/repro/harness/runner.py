@@ -1,9 +1,9 @@
 """Experiment runner: trains every method and scores it per field task.
 
-This is the driver behind every table of the paper's evaluation (Section 7).
+The method layer behind every table of the paper's evaluation (Section 7).
 A :class:`Method` wraps a synthesizer into a uniform ``train`` interface;
-:func:`run_m2h_experiment` reproduces the M2H HTML experiments (Tables 1-2)
-and the image experiments live in :mod:`repro.harness.images`.
+every experiment is an entry of :mod:`repro.harness.experiments`, run by
+its one driver.
 
 Environment knobs
 -----------------
@@ -15,9 +15,9 @@ Environment knobs
     stays fast while preserving the reported shapes.
 
 ``REPRO_JOBS``
-    Number of worker processes for the experiment drivers (default ``1`` =
+    Number of worker processes for the experiment driver (default ``1`` =
     serial).  Field tasks are independent — each ``(provider, field)`` pair
-    trains and scores every method in isolation — so the drivers fan them
+    trains and scores every method in isolation — so the driver fans them
     out over a ``concurrent.futures.ProcessPoolExecutor``.  Results are
     collected in submission order, making the output ordering (and hence
     every rendered table) identical to a serial run.  Workers rebuild their
@@ -31,7 +31,7 @@ Environment knobs
     the caching subsystem); default on.
 
 ``REPRO_SHARD``
-    ``i/N`` restricts every experiment driver to the i-th of N
+    ``i/N`` restricts every experiment run to the i-th of N
     deterministic slices of its ``(provider, field)`` task graph, so an
     experiment can be split across CI jobs or machines and merged back
     into byte-identical tables (:mod:`repro.harness.sharding` and the
@@ -64,7 +64,6 @@ Environment knobs
 from __future__ import annotations
 
 import atexit
-import functools
 import math
 import os
 import pickle
@@ -101,8 +100,19 @@ def scaled(count: int, minimum: int = 8) -> int:
     return max(minimum, int(round(count * scale())))
 
 
+def default_sizes(
+    sizes: tuple[int | None, int | None], train: int, test: int
+) -> tuple[int, int]:
+    """A caller's ``(train, test)`` corpus-size overrides, each part
+    defaulting (``None``) to ``train`` / ``test``."""
+    return (
+        train if sizes[0] is None else sizes[0],
+        test if sizes[1] is None else sizes[1],
+    )
+
+
 def jobs() -> int:
-    """Worker-process count for experiment drivers (``REPRO_JOBS`` env var)."""
+    """Worker-process count for the experiment driver (``REPRO_JOBS``)."""
     return parallel.jobs()
 
 
@@ -371,6 +381,19 @@ def evaluate_on_corpus(
     )
 
 
+def evaluate_settings(
+    methods: Sequence[Method], corpora: dict[str, Corpus], task: tuple
+) -> list[FieldResult]:
+    """One ``(provider, field)`` task: each method trained once, scored
+    on every setting's corpus."""
+    provider, field = task
+    return [
+        result
+        for method in methods
+        for result in evaluate_method(method, corpora, provider, field)
+    ]
+
+
 def _transportable(result: FieldResult) -> FieldResult:
     """Make a result safe to ship across a process boundary.
 
@@ -590,34 +613,15 @@ def m2h_corpora(
     )
 
 
-def resolve_tasks(
-    all_tasks: list[tuple[str, ...]],
-    shard,
-    tasks: Sequence[tuple[str, ...]] | None,
-    experiment: str | None = None,
-) -> list[tuple[str, ...]]:
-    """The task subset an experiment driver should run.
-
-    ``tasks`` (an explicit list, used by the shard scheduler and its
-    tests) wins outright; otherwise the canonical list is filtered down to
-    the requested shard — ``shard=None`` reads ``REPRO_SHARD`` from the
-    environment, which defaults to the whole graph.  With
-    ``REPRO_SHARD_PLAN`` set, the shard owns its packed-plan task set
-    instead of the round-robin slice; the plan must match ``experiment``
-    (the driver's registry name), the shard count, and the canonical
-    graph, otherwise the run fails loudly rather than quietly running a
-    different partition.
-    """
-    from repro.harness import sharding
-
-    if tasks is not None:
-        return [tuple(task) for task in tasks]
-    all_tasks = [tuple(task) for task in all_tasks]
-    spec = sharding.resolve_shard(shard)
-    plan = sharding.env_plan()
-    if plan is not None:
-        return sharding.plan_shard_tasks(plan, spec, all_tasks, experiment)
-    return sharding.assign(all_tasks, spec)
+def m2h_tasks(
+    providers: Sequence[str] = m2h.PROVIDERS,
+) -> list[tuple[str, str]]:
+    """The M2H task graph: ``(provider, field)``, provider-major."""
+    return [
+        (provider, field)
+        for provider in providers
+        for field in m2h.fields_for(provider)
+    ]
 
 
 def run_m2h_experiment(
@@ -633,90 +637,24 @@ def run_m2h_experiment(
 
     Paper scale is 362 training / 3141 test documents over six providers
     (roughly 60/520 per provider); sizes default to the scaled-down
-    equivalents (see :func:`scale`).  With ``REPRO_JOBS > 1`` the
-    independent ``(provider, field)`` tasks run on a process pool; see the
-    module docstring for the determinism guarantees.  ``shard`` (or the
-    ``REPRO_SHARD`` env knob, or an explicit ``tasks`` list) restricts the
-    run to a deterministic subset of the task graph — see
-    :mod:`repro.harness.sharding`.
+    equivalents (see :func:`scale`).  ``shard`` (or the ``REPRO_SHARD``
+    env knob, or an explicit ``tasks`` list) restricts the run to a
+    deterministic subset of the task graph — see
+    :mod:`repro.harness.sharding` and
+    :func:`repro.harness.experiments.run_experiment`.
     """
-    train_size = train_size if train_size is not None else scaled(60)
-    test_size = test_size if test_size is not None else scaled(520, minimum=30)
-    run_tasks = resolve_tasks(
-        [
-            (provider, field)
-            for provider in providers
-            for field in m2h.fields_for(provider)
-        ],
-        shard,
-        tasks,
-        experiment="m2h",
+    from repro.harness.experiments import run_experiment
+
+    return run_experiment(
+        "m2h", methods, tasks, seed, shard=shard, graph=m2h_tasks(providers),
+        train_size=train_size, test_size=test_size,
     )
-    if jobs() > 1:
-        return run_field_jobs(
-            _m2h_field_task,
-            [
-                (list(methods), provider, field, train_size, test_size, seed)
-                for provider, field in run_tasks
-            ],
-        )
-    results: list[FieldResult] = []
-    corpora: dict[str, Corpus] | None = None
-    current_provider: str | None = None
-    for provider, field in run_tasks:
-        # Round-robin assignment keeps a provider's tasks consecutive, so
-        # one live corpora set at a time suffices — same footprint as the
-        # provider-major loop this replaces.  The per-task timing window
-        # includes the corpus build its task triggers: a shard that draws
-        # tasks from k providers really does pay k builds, and the cost
-        # model should see that.
-        with active_timer().task((provider, field)):
-            if provider != current_provider:
-                corpora = m2h_corpora(provider, train_size, test_size, seed)
-                current_provider = provider
-            for method in methods:
-                results.extend(
-                    evaluate_method(method, corpora, provider, field)
-                )
-    return results
 
 
-def _m2h_field_task(
-    methods: Sequence[Method],
-    provider: str,
-    field: str,
-    train_size: int,
-    test_size: int,
-    seed: int,
-) -> list[FieldResult]:
-    """One parallel unit of :func:`run_m2h_experiment`.
-
-    Rebuilds the provider's corpora inside the worker (generation is seeded
-    and therefore identical to the parent's) so only small, picklable
-    arguments cross the process boundary.
-    """
-    with active_timer().task((provider, field)):
-        corpora = _worker_m2h_corpora(provider, train_size, test_size, seed)
-        results: list[FieldResult] = []
-        for method in methods:
-            results.extend(evaluate_method(method, corpora, provider, field))
-    return results
-
-
-@functools.lru_cache(maxsize=2)
-def _worker_m2h_corpora(
-    provider: str, train_size: int, test_size: int, seed: int
-) -> dict[str, Corpus]:
-    """Per-worker corpus memo.
-
-    Tasks are submitted provider-major, so the consecutive field tasks a
-    worker receives usually share a provider; the memo turns those repeats
-    into lookups.  A provider's fields can still scatter across the pool
-    (any idle worker takes the next task), so a corpus may be generated up
-    to ``min(jobs, fields)`` times — the memo is a bound on per-worker
-    rework, not a global once-per-provider guarantee.  ``maxsize=2`` keeps
-    a worker's footprint near what the serial loop holds."""
-    return m2h_corpora(provider, train_size, test_size, seed)
+def m2h_corpus_key(task: tuple, sizes: tuple, seed: int) -> tuple:
+    # Paper scale is ~60 training / ~520 test documents per provider.
+    train, test = default_sizes(sizes, scaled(60), scaled(520, minimum=30))
+    return (task[0], train, test, seed)
 
 
 def m2h_contemporary_corpus(
@@ -724,7 +662,7 @@ def m2h_contemporary_corpus(
 ) -> Corpus:
     """One contemporary-setting M2H corpus through the corpus cache.
 
-    The robustness and ablation drivers test on the contemporary period
+    The robustness and ablation experiments test on the contemporary period
     only, so they cache a single corpus per configuration instead of the
     contemporary+longitudinal pair :func:`m2h_corpora` holds.  The
     ``setting`` parameter keeps these entries distinct from the pair
@@ -782,6 +720,26 @@ def robustness_tasks(
     ]
 
 
+def robustness_corpus_key(task: tuple, sizes: tuple, seed: int) -> tuple:
+    # Task "sK" trains on the corpus seeded with seed + K.
+    provider, _, label = task
+    train, test = default_sizes(
+        sizes, scaled(133, minimum=10), scaled(267, minimum=20)
+    )
+    return (provider, train, test, seed + int(label[1:]))
+
+
+def evaluate_seed(
+    methods: Sequence[Method], corpus: Corpus, task: tuple
+) -> list[FieldResult]:
+    """One robustness task: the seed label lands in ``setting``."""
+    provider, field, label = task
+    return [
+        evaluate_on_corpus(method, corpus, provider, field, label)
+        for method in methods
+    ]
+
+
 def run_m2h_robustness_experiment(
     methods: Sequence[Method] | None = None,
     providers: Sequence[str] = ROBUSTNESS_PROVIDERS,
@@ -798,76 +756,15 @@ def run_m2h_robustness_experiment(
     Each task ``(provider, field, "sK")`` trains on a corpus seeded with
     ``seed + K`` and scores on that corpus's contemporary test split; the
     seed label lands in ``FieldResult.setting`` so the per-seed scores of
-    one field task stay distinguishable.  Routed through the harness
-    layer — :func:`cached_corpora`, :func:`train_method`, the
-    ``REPRO_JOBS`` pool and ``REPRO_SHARD`` — unlike the pre-PR-4 bench,
-    which generated corpora and called ``method.train`` directly and
-    therefore bypassed every cache.
+    one field task stay distinguishable.
     """
-    methods = list(methods) if methods is not None else [LrsynHtmlMethod()]
-    train_size = train_size if train_size is not None else scaled(
-        133, minimum=10
+    from repro.harness.experiments import run_experiment
+
+    return run_experiment(
+        "robustness", methods, tasks, seed, shard=shard,
+        graph=robustness_tasks(providers, fields, seeds),
+        train_size=train_size, test_size=test_size,
     )
-    test_size = test_size if test_size is not None else scaled(
-        267, minimum=20
-    )
-    run_tasks = resolve_tasks(
-        robustness_tasks(providers, fields, seeds), shard, tasks,
-        experiment="robustness",
-    )
-    if jobs() > 1:
-        return run_field_jobs(
-            _robustness_field_task,
-            [
-                (list(methods), provider, field, label,
-                 train_size, test_size, seed)
-                for provider, field, label in run_tasks
-            ],
-        )
-    results: list[FieldResult] = []
-    corpus: Corpus | None = None
-    current: tuple[str, int] | None = None
-    for provider, field, label in run_tasks:
-        with active_timer().task((provider, field, label)):
-            corpus_seed = seed + int(label[1:])
-            if (provider, corpus_seed) != current:
-                corpus = m2h_contemporary_corpus(
-                    provider, train_size, test_size, corpus_seed
-                )
-                current = (provider, corpus_seed)
-            for method in methods:
-                results.append(
-                    evaluate_on_corpus(method, corpus, provider, field, label)
-                )
-    return results
-
-
-def _robustness_field_task(
-    methods: Sequence[Method],
-    provider: str,
-    field: str,
-    label: str,
-    train_size: int,
-    test_size: int,
-    seed: int,
-) -> list[FieldResult]:
-    """One parallel unit of :func:`run_m2h_robustness_experiment`."""
-    with active_timer().task((provider, field, label)):
-        corpus = _worker_robustness_corpus(
-            provider, train_size, test_size, seed + int(label[1:])
-        )
-        return [
-            evaluate_on_corpus(method, corpus, provider, field, label)
-            for method in methods
-        ]
-
-
-@functools.lru_cache(maxsize=2)
-def _worker_robustness_corpus(
-    provider: str, train_size: int, test_size: int, corpus_seed: int
-) -> Corpus:
-    """Per-worker corpus memo (see ``_worker_m2h_corpora``)."""
-    return m2h_contemporary_corpus(provider, train_size, test_size, corpus_seed)
 
 
 def average(values: Sequence[float]) -> float:

@@ -86,14 +86,18 @@ import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
+
+from repro.harness.experiments import (  # noqa: F401 - registry API
+    EXPERIMENTS,
+    Experiment,
+    TaskKey,
+    field_task_key,
+    get_experiment,
+)
 
 PARTIAL_SCHEMA = 1
 PLAN_SCHEMA = 1
-
-# A canonical task: a tuple of strings whose length/meaning is fixed per
-# experiment (see the module docstring).
-TaskKey = tuple[str, ...]
 
 
 # ----------------------------------------------------------------------
@@ -170,262 +174,6 @@ def assign(tasks: Sequence[TaskKey], shard: ShardSpec) -> list[TaskKey]:
     return [task for i, task in enumerate(tasks) if shard.owns(i)]
 
 
-# ----------------------------------------------------------------------
-# Experiment registry (task graphs + method sets + drivers)
-# ----------------------------------------------------------------------
-def field_task_key(result) -> TaskKey:
-    """The default result→task projection: ``(provider, field)``."""
-    return (result.provider, result.field)
-
-
-def _no_extra_config() -> str:
-    return ""
-
-
-@dataclass(frozen=True)
-class Experiment:
-    """One schedulable experiment: canonical task graph plus driver.
-
-    ``result_key`` projects one driver result back onto the canonical
-    task that produced it — the scheduler groups, validates and reorders
-    results purely through this projection, so experiments are free to
-    shape their task keys however their axes demand.
-
-    ``config`` names any extra environment the experiment's scores depend
-    on beyond (graph, seed, scale, methods) — e.g. the forge's corpus-size
-    knob, which changes scores without changing the task graph.  The
-    string is folded into the split digest so partials generated under
-    different configurations refuse to merge.
-    """
-
-    name: str
-    settings: Callable[[], tuple[str, ...]]
-    tasks: Callable[[], list[TaskKey]]
-    methods: Callable[[], list]
-    # run(methods, tasks, seed) -> list[FieldResult] in task order
-    run: Callable[[list, list[TaskKey], int], list]
-    result_key: Callable[[Any], TaskKey] = field_task_key
-    config: Callable[[], str] = _no_extra_config
-
-
-def _m2h_tasks() -> list[TaskKey]:
-    from repro.datasets import m2h
-
-    return [
-        (provider, field)
-        for provider in m2h.PROVIDERS
-        for field in m2h.fields_for(provider)
-    ]
-
-
-def _m2h_settings() -> tuple[str, ...]:
-    from repro.datasets.base import SETTINGS
-
-    return SETTINGS
-
-
-def _m2h_methods() -> list:
-    from repro.harness.runner import (
-        ForgivingXPathsMethod,
-        LrsynHtmlMethod,
-        NdsynMethod,
-    )
-
-    return [ForgivingXPathsMethod(), NdsynMethod(), LrsynHtmlMethod()]
-
-
-def _m2h_run(methods: list, tasks: list[TaskKey], seed: int) -> list:
-    from repro.harness.runner import run_m2h_experiment
-
-    return run_m2h_experiment(methods, seed=seed, tasks=tasks)
-
-
-def _finance_tasks() -> list[TaskKey]:
-    from repro.datasets import finance
-
-    return [
-        (doc_type, field)
-        for doc_type in finance.DOC_TYPES
-        for field in finance.FINANCE_FIELDS[doc_type]
-    ]
-
-
-def _image_settings() -> tuple[str, ...]:
-    from repro.datasets.base import CONTEMPORARY
-
-    return (CONTEMPORARY,)
-
-
-def _image_methods() -> list:
-    from repro.harness.images import AfrMethod, LrsynImageMethod
-
-    return [AfrMethod(), LrsynImageMethod()]
-
-
-def _finance_run(methods: list, tasks: list[TaskKey], seed: int) -> list:
-    from repro.harness.images import run_finance_experiment
-
-    return run_finance_experiment(methods, seed=seed, tasks=tasks)
-
-
-def _m2h_images_tasks() -> list[TaskKey]:
-    from repro.datasets import m2h_images
-
-    return [
-        (provider, field)
-        for provider in m2h_images.IMAGE_PROVIDERS
-        for field in m2h_images.fields_for(provider)
-    ]
-
-
-def _m2h_images_run(methods: list, tasks: list[TaskKey], seed: int) -> list:
-    from repro.harness.images import run_m2h_images_experiment
-
-    return run_m2h_images_experiment(methods, seed=seed, tasks=tasks)
-
-
-def _robustness_settings() -> tuple[str, ...]:
-    from repro.harness.runner import ROBUSTNESS_SETTINGS
-
-    return ROBUSTNESS_SETTINGS
-
-
-def _robustness_tasks() -> list[TaskKey]:
-    from repro.harness.runner import robustness_tasks
-
-    return robustness_tasks()
-
-
-def _robustness_methods() -> list:
-    from repro.harness.runner import LrsynHtmlMethod
-
-    return [LrsynHtmlMethod()]
-
-
-def _robustness_run(methods: list, tasks: list[TaskKey], seed: int) -> list:
-    from repro.harness.runner import run_m2h_robustness_experiment
-
-    return run_m2h_robustness_experiment(methods, seed=seed, tasks=tasks)
-
-
-def _robustness_result_key(result) -> TaskKey:
-    # The seed label travels in the setting slot.
-    return (result.provider, result.field, result.setting)
-
-
-def _ablation_settings() -> tuple[str, ...]:
-    from repro.harness.ablations import ABLATION_SETTINGS
-
-    return ABLATION_SETTINGS
-
-
-def _ablation_tasks() -> list[TaskKey]:
-    from repro.harness.ablations import ablation_tasks
-
-    return ablation_tasks()
-
-
-def _ablation_methods() -> list:
-    from repro.harness.ablations import ablation_methods
-
-    return ablation_methods()
-
-
-def _ablation_run(methods: list, tasks: list[TaskKey], seed: int) -> list:
-    from repro.harness.ablations import run_ablations_experiment
-
-    return run_ablations_experiment(seed=seed, tasks=tasks)
-
-
-def _ablation_result_key(result) -> TaskKey:
-    # The mechanism travels in the setting slot.
-    return (result.setting, result.provider, result.field)
-
-
-def _forge_config() -> str:
-    from repro.datasets import forge
-
-    return forge.config_fingerprint()
-
-
-def _forge_html_tasks() -> list[TaskKey]:
-    from repro.harness.forge import forge_html_tasks
-
-    return forge_html_tasks()
-
-
-def _forge_html_methods() -> list:
-    from repro.harness.forge import forge_html_methods
-
-    return forge_html_methods()
-
-
-def _forge_html_run(methods: list, tasks: list[TaskKey], seed: int) -> list:
-    from repro.harness.forge import run_forge_html_experiment
-
-    return run_forge_html_experiment(methods, seed=seed, tasks=tasks)
-
-
-def _forge_images_tasks() -> list[TaskKey]:
-    from repro.harness.forge import forge_image_tasks
-
-    return forge_image_tasks()
-
-
-def _forge_images_methods() -> list:
-    from repro.harness.forge import forge_image_methods
-
-    return forge_image_methods()
-
-
-def _forge_images_run(methods: list, tasks: list[TaskKey], seed: int) -> list:
-    from repro.harness.forge import run_forge_images_experiment
-
-    return run_forge_images_experiment(methods, seed=seed, tasks=tasks)
-
-
-EXPERIMENTS: dict[str, Experiment] = {
-    "m2h": Experiment(
-        "m2h", _m2h_settings, _m2h_tasks, _m2h_methods, _m2h_run
-    ),
-    "finance": Experiment(
-        "finance", _image_settings, _finance_tasks, _image_methods,
-        _finance_run,
-    ),
-    "m2h_images": Experiment(
-        "m2h_images", _image_settings, _m2h_images_tasks, _image_methods,
-        _m2h_images_run,
-    ),
-    "robustness": Experiment(
-        "robustness", _robustness_settings, _robustness_tasks,
-        _robustness_methods, _robustness_run, _robustness_result_key,
-    ),
-    "ablations": Experiment(
-        "ablations", _ablation_settings, _ablation_tasks,
-        _ablation_methods, _ablation_run, _ablation_result_key,
-    ),
-    # The synthetic document forge (repro.datasets.forge): as many
-    # providers as REPRO_FORGE_PROVIDERS asks for, corpus sizes from
-    # REPRO_FORGE_DOCS — the store/scheduler stress workloads.
-    "forge_html": Experiment(
-        "forge_html", _m2h_settings, _forge_html_tasks,
-        _forge_html_methods, _forge_html_run, config=_forge_config,
-    ),
-    "forge_images": Experiment(
-        "forge_images", _image_settings, _forge_images_tasks,
-        _forge_images_methods, _forge_images_run, config=_forge_config,
-    ),
-}
-
-
-def get_experiment(name: str) -> Experiment:
-    try:
-        return EXPERIMENTS[name]
-    except KeyError:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ValueError(f"unknown experiment {name!r} (known: {known})")
-
-
 def registry_graphs() -> dict[str, list[TaskKey]]:
     """Every registered experiment's canonical task graph.
 
@@ -455,7 +203,7 @@ def lpt_pack(
 
     Each shard's task list comes back sorted by canonical position, so
     tasks sharing a live corpus stay in canonical relative order inside
-    a shard (the serial driver loops' one-live-corpus memo still
+    a shard (the serial driver loop's one-live-corpus memo still
     applies), and ``count > len(graph)`` leaves the surplus shards
     empty, exactly like :func:`assign`.
     """

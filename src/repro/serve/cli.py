@@ -131,15 +131,12 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
 
-    from repro.store import BlueprintStore
-
-    store = BlueprintStore(directory=args.store_dir, enabled=True)
-
     if args.command == "run":
         from repro.serve.server import run_server
+        from repro.store import BlueprintStore
 
         return run_server(
-            store,
+            BlueprintStore(directory=args.store_dir, enabled=True),
             host=args.host,
             port=args.port,
             queue_size=args.queue,
@@ -153,8 +150,15 @@ def main(argv: list[str] | None = None) -> int:
             addr_file=args.addr_file,
         )
 
-    from repro.harness.export import export_experiment
+    import os
 
+    from repro.harness.export import export_experiment
+    from repro.store import shared_store
+
+    # Export trains, probes and writes the catalog through the process's
+    # shared store, so --store-dir has to select that store.
+    if args.store_dir is not None:
+        os.environ["REPRO_STORE_DIR"] = args.store_dir
     report = export_experiment(
         args.experiment,
         methods=args.methods.split(",") if args.methods else None,
@@ -162,7 +166,6 @@ def main(argv: list[str] | None = None) -> int:
         train_size=args.train,
         test_size=args.test,
         seed=args.seed,
-        store=store,
     )
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -174,5 +177,5 @@ def main(argv: list[str] | None = None) -> int:
             f"exported {len(report['entries'])} serving entries for"
             f" {report['experiment']}: {counts}"
         )
-    store.close()
+    shared_store().close()
     return 0

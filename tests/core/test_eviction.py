@@ -12,8 +12,8 @@ import time
 
 import pytest
 
-from repro.core import store as store_mod
-from repro.core.store import BlueprintStore, store_budget_bytes
+import repro.store as store_mod
+from repro.store import BlueprintStore, store_budget_bytes
 
 
 def make_store(tmp_path):
@@ -206,7 +206,7 @@ class TestScoresSurviveEviction:
     ):
         """Eviction discards cache state only: a rerun recomputes every
         evicted entry and lands on bit-identical scores."""
-        from repro.core.store import shared_store
+        from repro.store import shared_store
         from repro.harness.runner import (
             LrsynHtmlMethod,
             flush_corpus_store,

@@ -1,13 +1,13 @@
-"""Tests for the persistent blueprint store (repro.core.store)."""
+"""Tests for the persistent blueprint store (repro.store)."""
 
 import pickle
 import sqlite3
 
 import pytest
 
-from repro.core import store as store_mod
+import repro.store as store_mod
 from repro.core.caching import DistanceCache
-from repro.core.store import (
+from repro.store import (
     BlueprintStore,
     canonical_digest,
     entry_key,

@@ -37,7 +37,7 @@ def assert_identical(first, second):
 
 def rotate_shared_store(monkeypatch, tmp_path, store_dir):
     """Force the next shared_store() to rehydrate from sqlite."""
-    from repro.core.store import shared_store
+    from repro.store import shared_store
 
     monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "rotate"))
     shared_store()

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro.core.store import BlueprintStore
+from repro.store import BlueprintStore
 from repro.harness import costmodel
 from repro.harness.costmodel import (
     DEFAULT_SECONDS,
@@ -235,7 +235,7 @@ class TestKeying:
     def test_algo_version_bump_invalidates_stale_entries(
         self, store, monkeypatch
     ):
-        import repro.core.store as store_module
+        import repro.store as store_module
 
         record_task_timings(
             "expA", {GRAPH_A[0]: 2.0}, scale=0.15, store=store

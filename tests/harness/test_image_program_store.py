@@ -12,13 +12,14 @@ import math
 import pickle
 
 from repro.core.caching import DistanceCache, StageTimer, use_timer
-from repro.core.store import BlueprintStore, shared_store
+from repro.store import BlueprintStore, shared_store
 from repro.datasets import finance, m2h_images
+from repro.harness.experiments import run_experiment
 from repro.harness.images import (
     AfrMethod,
     LrsynImageMethod,
-    run_finance_experiment,
-    run_m2h_images_experiment,
+    finance_tasks,
+    m2h_images_tasks,
 )
 from repro.harness.runner import flush_corpus_store
 from repro.html.domain import HtmlDomain
@@ -110,8 +111,9 @@ class TestWarmImageRuns:
 
         cold_timer = StageTimer()
         with use_timer(cold_timer):
-            cold = run_finance_experiment(
-                methods, doc_types=["CashInvoice"], train_size=4, test_size=6
+            cold = run_experiment(
+                "finance", methods, graph=finance_tasks(["CashInvoice"]),
+                train_size=4, test_size=6,
             )
         flush_corpus_store()
         assert cold_timer.counters.get("store.program.miss", 0) > 0
@@ -120,8 +122,9 @@ class TestWarmImageRuns:
 
         warm_timer = StageTimer()
         with use_timer(warm_timer):
-            warm = run_finance_experiment(
-                methods, doc_types=["CashInvoice"], train_size=4, test_size=6
+            warm = run_experiment(
+                "finance", methods, graph=finance_tasks(["CashInvoice"]),
+                train_size=4, test_size=6,
             )
         assert_identical(cold, warm)
         # Every training request — both methods, every field — must be
@@ -134,15 +137,17 @@ class TestWarmImageRuns:
         store_dir = tmp_path / "imgstore2"
         monkeypatch.setenv("REPRO_STORE_DIR", str(store_dir))
         methods = [LrsynImageMethod()]
-        cold = run_m2h_images_experiment(
-            methods, providers=["getthere"], train_size=3, test_size=4
+        cold = run_experiment(
+            "m2h_images", methods, graph=m2h_images_tasks(["getthere"]),
+            train_size=3, test_size=4,
         )
         flush_corpus_store()
         rotate_shared_store(monkeypatch, tmp_path, store_dir)
         warm_timer = StageTimer()
         with use_timer(warm_timer):
-            warm = run_m2h_images_experiment(
-                methods, providers=["getthere"], train_size=3, test_size=4
+            warm = run_experiment(
+                "m2h_images", methods, graph=m2h_images_tasks(["getthere"]),
+                train_size=3, test_size=4,
             )
         assert_identical(cold, warm)
         assert warm_timer.counters.get("store.program.miss", 0) == 0

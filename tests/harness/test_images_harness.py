@@ -3,11 +3,12 @@
 import math
 
 from repro.datasets import finance
+from repro.harness.experiments import run_experiment
 from repro.harness.images import (
     AfrMethod,
     IMAGE_CONFIG,
     LrsynImageMethod,
-    run_finance_experiment,
+    finance_tasks,
 )
 
 
@@ -38,9 +39,10 @@ class TestMethods:
 
 class TestRunFinanceExperiment:
     def test_single_doc_type_results_complete(self):
-        results = run_finance_experiment(
+        results = run_experiment(
+            "finance",
             [AfrMethod(), LrsynImageMethod()],
-            doc_types=["CreditNote"],
+            graph=finance_tasks(["CreditNote"]),
             train_size=8,
             test_size=10,
             seed=0,

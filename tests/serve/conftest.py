@@ -35,7 +35,6 @@ def serve_setup(tmp_path_factory):
     try:
         from repro.harness.export import export_experiment
         from repro.harness.runner import LrsynHtmlMethod
-        from repro.store import shared_store
 
         report = export_experiment(
             "forge_html",
@@ -44,7 +43,6 @@ def serve_setup(tmp_path_factory):
             train_size=TRAIN,
             test_size=TEST,
             seed=SEED,
-            store=shared_store(),
         )
     finally:
         mp.undo()

@@ -139,21 +139,3 @@ class TestServe:
         with pytest.raises(SystemExit):
             main(["--backend", "remote", "--dir", str(tmp_path), "serve"])
         assert "serve fronts a local backend" in capsys.readouterr().err
-
-
-class TestLegacyEntryPoint:
-    def test_python_m_repro_core_store_still_works(self, tmp_path):
-        directory = seeded_dir(tmp_path)
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.core.store",
-             "--dir", str(directory), "stats"],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert result.returncode == 0, result.stderr
-        assert "entries:  3" in result.stdout

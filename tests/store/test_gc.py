@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-import repro.core.store as store_mod
+import repro.store as store_mod
 from repro.store import BlueprintStore, default_generation, entry_key
 from repro.store.gc import plan_gc, run_gc
 
