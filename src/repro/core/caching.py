@@ -27,7 +27,7 @@ regenerated corpus hits the same entries.  Blueprints cross this layer
 only in their canonical ``frozenset`` form — the bitset encoding of
 :mod:`repro.core.bitset` is kernel-internal — so distance keys
 (``canonical_digest`` over sorted elements) and warm stores are
-identical whether the vectorized kernel or the legacy per-pair path
+identical whether the packed kernel or the generic per-pair path
 computed the value.
 
 Environment knobs:

@@ -71,20 +71,6 @@ def _matrix_tile(tile) -> list[tuple[int, int, float]]:
     return out
 
 
-def _bitset_tile(tile) -> list[tuple[tuple[int, int], float]]:
-    """Worker: one matrix tile through the vectorized bitset kernel.
-
-    The fork payload carries the interned int masks and the packed uint64
-    array instead of frozenset lists, so children inherit a few numpy
-    pages through copy-on-write rather than re-hashing blueprint sets.
-    Returns ``((i, j), d)`` items so the parent merges each tile with one
-    ``dict.update`` instead of a per-pair loop.
-    """
-    masks, packed, symmetric = parallel.shared_payload()
-    rows, cols = tile
-    return bitset.tile_distance_items(masks, packed, rows, cols, symmetric)
-
-
 def pairwise_distance_matrix(
     domain: Domain,
     blueprints: Sequence[Hashable],
@@ -101,12 +87,11 @@ def pairwise_distance_matrix(
     so the returned mapping is identical to a serial double loop —
     parallelism never changes a value.
 
-    When every blueprint is a plain string set under Jaccard (see
-    :func:`repro.core.bitset.universe_for`), the blueprints are interned
-    once and each tile is evaluated by the vectorized bitset kernel —
-    serially or fanned out — producing bit-identical values.  Otherwise
-    small inputs (fewer than :data:`MIN_PARALLEL_PAIRS` pairs) return via
-    a serial double loop before any tile bookkeeping is built.
+    This is the generic per-pair path: every value is
+    ``domain.blueprint_distance``, so it serves any metric (image
+    BoxSummary region blueprints, custom domains).  Small inputs (fewer
+    than :data:`MIN_PARALLEL_PAIRS` pairs) return via a serial double
+    loop before any tile bookkeeping is built.
     """
     n = len(blueprints)
     if n <= 1:
@@ -116,8 +101,7 @@ def pairwise_distance_matrix(
     n_jobs = parallel.kernel_jobs() if n_jobs is None else n_jobs
     if total_pairs < MIN_PARALLEL_PAIRS:
         n_jobs = 1
-    encoded = bitset.universe_for(domain, blueprints)
-    if encoded is None and n_jobs <= 1:
+    if n_jobs <= 1:
         matrix: dict[tuple[int, int], float] = {}
         for i in range(n):
             for j in range(n):
@@ -135,13 +119,6 @@ def pairwise_distance_matrix(
         if not (symmetric and cols[1] <= rows[0])
     ]
     matrix = {}
-    if encoded is not None:
-        universe, masks = encoded
-        payload = (masks, universe.pack(masks), symmetric)
-        results = parallel.run_sharded(payload, _bitset_tile, tiles, n_jobs)
-        for tile_result in results:
-            matrix.update(tile_result)
-        return matrix
     payload = (domain, list(blueprints), symmetric)
     results = parallel.run_sharded(payload, _matrix_tile, tiles, n_jobs)
     for tile_result in results:
@@ -176,8 +153,8 @@ def prefill_pairwise_distances(
 
     When the blueprints are bitset-encodable the whole pair list is
     interned once (each distinct blueprint encoded a single time) and
-    evaluated by the vectorized kernel — worthwhile even serially, so no
-    worker pool or minimum pair count is required.  Otherwise the legacy
+    evaluated by the packed kernel — worthwhile even serially, so no
+    worker pool or minimum pair count is required.  Otherwise the generic
     per-pair path runs, and only when workers are available and the list
     is big enough to pay for the pool.
     """
@@ -251,10 +228,9 @@ def fine_cluster(
     "large number of very fine-grained clusters" of Section 2.1.
 
     When the document blueprints are bitset-encodable they are interned
-    once up front and the placement loop compares big-int masks directly
-    (:func:`repro.core.bitset.jaccard_bits`) — the same lazy demand, the
-    same short-circuit order, bit-identical distances, so placements are
-    unchanged; no speculative full matrix is needed.  Otherwise, with
+    once and placed by the packed kernel
+    (:func:`repro.core.bitset.cluster_rows_packed`) — bit-identical
+    distances, so placements equal the per-pair loop's.  Otherwise, with
     ``REPRO_JOBS > 1`` and enough documents, the full distance matrix is
     precomputed by the blocked parallel kernel and seeded into the cache
     first; the lookup loop's placements are again unchanged.
@@ -269,32 +245,12 @@ def fine_cluster(
         encoded = bitset.universe_for(domain, doc_blueprints)
         if encoded is not None:
             universe, masks = encoded
-            packed = universe.pack(masks)
-            if packed is not None:
-                clusters.extend(
-                    [examples[row] for row in rows]
-                    for rows in bitset.cluster_rows_packed(
-                        packed, threshold
-                    )
+            clusters.extend(
+                [examples[row] for row in rows]
+                for rows in bitset.cluster_rows_packed(
+                    universe.pack(masks), threshold
                 )
-                return clusters
-            # No vectorized popcount available: lazy big-int placement
-            # scan, short-circuiting exactly like the legacy loop.
-            mask_clusters: list[list[int]] = []
-            for example, mask in zip(examples, masks):
-                placed = False
-                for cluster, cluster_masks in zip(clusters, mask_clusters):
-                    if any(
-                        bitset.jaccard_bits(mask, other) <= threshold
-                        for other in cluster_masks
-                    ):
-                        cluster.append(example)
-                        cluster_masks.append(mask)
-                        placed = True
-                        break
-                if not placed:
-                    clusters.append([example])
-                    mask_clusters.append([mask])
+            )
             return clusters
         if (
             cache.enabled
@@ -478,15 +434,10 @@ def infer_landmarks_and_clusters(
     # Merge clusters while some pair is within the merge threshold
     # (lines 10-15).  The first round's pairwise ROI distances — the full
     # demand of the whole loop, since merging never adds examples — are
-    # precomputed when the vectorized bitset kernel applies or workers
-    # are available, so the serial decision loop below only performs
-    # lookups.
+    # precomputed when the packed kernel applies or workers are
+    # available, so the serial decision loop below only performs lookups.
     with active_timer().stage("cluster"):
-        if (
-            len(clusters) > 1
-            and cache.enabled
-            and (parallel.kernel_jobs() > 1 or bitset.bitset_enabled())
-        ):
+        if len(clusters) > 1 and cache.enabled:
             prefill_pairwise_distances(
                 domain,
                 _missing_merge_pairs(domain, clusters, roi_of, cache),

@@ -235,11 +235,11 @@ class Domain(abc.ABC):
     def bitset_elements(self, blueprint: Hashable) -> frozenset[str] | None:
         """String elements of ``blueprint`` if its metric is plain Jaccard.
 
-        The vectorized bitset kernel (:mod:`repro.core.bitset`) may only
+        The packed bitset kernel (:mod:`repro.core.bitset`) may only
         replace :meth:`blueprint_distance` when the metric on this
         blueprint is exactly ``jaccard_distance`` over a string set.
         Domains opt in per blueprint by returning its elements; returning
-        ``None`` (the default) keeps the legacy per-pair path — required
+        ``None`` (the default) keeps the generic per-pair path — required
         for graded or asymmetric metrics (the image domain's BoxSummary
         matching) and for ad-hoc test domains with custom distances.
         """

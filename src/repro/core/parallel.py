@@ -7,12 +7,11 @@ and only small index ranges plus per-tile results cross process
 boundaries.  On Linux the worker pool is created with the ``fork`` start
 method *after* the payload is staged in a module global, so children read
 the payload through copy-on-write shared memory — the Python analogue of
-the shared-memory PaLD kernel — and no document is ever pickled.  For
-set-metric distance tiles the payload is the interned bitset form (the
-big-int masks plus the packed uint64 array of
-:mod:`repro.core.bitset`) rather than frozenset lists, so children
-inherit a few flat pages instead of per-element hash tables; legacy
-kernels still share the blueprints/documents themselves.
+the shared-memory PaLD kernel — and no document is ever pickled.  The
+distance tiles here serve the generic per-pair path (metrics the packed
+Jaccard kernel of :mod:`repro.core.bitset` does not cover, such as image
+BoxSummary matching), so children share the blueprints/documents
+themselves.
 
 Guard rails:
 

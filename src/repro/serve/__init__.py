@@ -10,9 +10,8 @@ only) that
   and **hot-reloads** it when the rows or the
   :data:`repro.store.BLUEPRINT_ALGO_VERSION` generation change;
 * accepts documents over ``POST /extract`` and routes each to the best
-  provider by **bitset blueprint distance** (the vectorized
-  ``REPRO_BITSET`` kernel from :mod:`repro.core.bitset` sits on the
-  per-request routing path);
+  provider by **bitset blueprint distance** (the packed Jaccard kernel
+  from :mod:`repro.core.bitset` sits on the per-request routing path);
 * micro-batches requests behind a **bounded admission queue** that sheds
   load with 429s instead of growing without bound;
 * degrades per entry instead of crashing: a stored synthesis-failure

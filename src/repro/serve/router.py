@@ -27,13 +27,11 @@ process answers diagnostics, it never unpickles-and-crashes:
     blueprint distance.  The catalog's routing blueprints are interned
     into one :class:`repro.core.bitset.BitsetUniverse` at build time;
     per request, the document blueprint is encoded **within** that fixed
-    universe and one vectorized popcount pass scores every routing row
-    (the ``REPRO_BITSET`` kernel on the hot path).  Unknown elements
-    drop out of the mask but still count toward the union —
-    ``|a ∪ b| = |a| + |b| − |a ∩ b|`` over exact integers — so the
-    distances are bit-identical to
-    :func:`repro.core.distance.jaccard_distance` on the raw sets, on
-    all three paths (packed numpy, big-int fallback, kernel disabled).
+    universe and one packed popcount pass scores every routing row.
+    Unknown elements drop out of the mask but still count toward the
+    union — ``|a ∪ b| = |a| + |b| − |a ∩ b|`` over exact integers — so
+    the distances are bit-identical to
+    :func:`repro.core.distance.jaccard_distance` on the raw sets.
     A fixed universe also means batch composition cannot influence
     routing: one request scores the same alone or in a full batch.
 """
@@ -44,17 +42,11 @@ import hashlib
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
+import numpy as np
+
 import repro.store as store_mod
-from repro.core.bitset import BitsetUniverse, bitset_enabled, jaccard_bits
-from repro.core.distance import jaccard_distance
+from repro.core.bitset import BitsetUniverse
 from repro.store.backend import decode_value
-
-try:  # Same optionality stance as repro.core.bitset.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
-_HAVE_PACKED = _np is not None and hasattr(_np, "bitwise_count")
 
 # Entry states beyond the exporter's own (see repro.harness.export):
 # reasons a row cannot serve, reported verbatim in 404 bodies.
@@ -247,8 +239,6 @@ class _RoutingRow:
     provider: str
     field: str
     blueprint: frozenset
-    mask: int = 0
-    size: int = 0
 
 
 class Router:
@@ -283,56 +273,32 @@ class Router:
         # Intern the catalog side once.  The universe is catalog-only:
         # request elements outside it vanish from the intersection but
         # are restored in the union via |b|, keeping Jaccard exact.
-        self._universe: BitsetUniverse | None = None
-        self._packed = None
-        self._sizes = None
-        if bitset_enabled() and rows:
-            universe = BitsetUniverse(
-                element for row in rows for element in row.blueprint
-            )
-            for row in rows:
-                row.mask = universe.encode(row.blueprint)
-                row.size = len(row.blueprint)
-            self._universe = universe
-            self._packed = universe.pack([row.mask for row in rows])
-            if self._packed is not None:
-                self._sizes = _np.array(
-                    [row.size for row in rows], dtype=_np.int64
-                )
+        self._universe = BitsetUniverse(
+            element for row in rows for element in row.blueprint
+        )
+        self._packed = self._universe.pack(
+            self._universe.encode_all(row.blueprint for row in rows)
+        )
+        self._sizes = np.array(
+            [len(row.blueprint) for row in rows], dtype=np.int64
+        )
 
     # -- distances -------------------------------------------------------
     def distances(self, blueprint: frozenset) -> list[float]:
         """Distance from ``blueprint`` to every routing row (row order).
 
-        Three paths, one answer: packed numpy popcount, big-int
-        popcount, or per-pair ``jaccard_distance`` when the kernel is
-        off — all divide the same exact intersection/union integers.
+        One packed popcount pass gives each row's exact intersection
+        count; the union follows from the two set sizes, so every value
+        divides the same integers as ``jaccard_distance``.
         """
-        rows = self.rows
         universe = self._universe
-        if universe is None:
-            return [
-                jaccard_distance(row.blueprint, blueprint) for row in rows
-            ]
-        mask = universe.encode_within(blueprint)
-        size = len(blueprint)
-        if self._packed is not None:
-            width = universe.words * 8
-            needle = _np.frombuffer(
-                mask.to_bytes(width, "little"), dtype="<u8"
-            )
-            inter = _np.bitwise_count(self._packed & needle).sum(
-                axis=1, dtype=_np.int64
-            )
-            union = self._sizes + size - inter
-            safe = _np.where(union == 0, 1, union)
-            return _np.where(union == 0, 0.0, 1.0 - inter / safe).tolist()
-        out = []
-        for row in rows:
-            inter = (row.mask & mask).bit_count()
-            union = row.size + size - inter
-            out.append(1.0 - inter / union if union else 0.0)
-        return out
+        needle = universe.pack([universe.encode_within(blueprint)])[0]
+        inter = np.bitwise_count(self._packed & needle).sum(
+            axis=1, dtype=np.int64
+        )
+        union = self._sizes + len(blueprint) - inter
+        safe = np.where(union == 0, 1, union)
+        return np.where(union == 0, 0.0, 1.0 - inter / safe).tolist()
 
     # -- selection -------------------------------------------------------
     def route(
@@ -471,7 +437,6 @@ __all__ = [
     "CatalogEntry",
     "Router",
     "ServingCatalog",
-    "jaccard_bits",
     "load_catalog",
     "peek_digest",
 ]

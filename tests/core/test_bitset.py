@@ -2,16 +2,16 @@
 
 The contracts under test, in the order the pipeline relies on them:
 
-* bitset Jaccard is *bit-identical* (not approximately equal) to the
-  frozenset ``jaccard_distance`` on randomized universes — both paths
+* packed Jaccard is *bit-identical* (not approximately equal) to the
+  frozenset ``jaccard_distance`` oracle on randomized universes — both
   divide the same two integers;
 * the interner assigns bit positions from sorted element order, so the
   encoding is a pure function of universe content: identical across
   subprocesses running under hostile ``PYTHONHASHSEED`` values;
-* encode/decode round-trips;
-* the kernel engages only where it is sound (``Domain.bitset_elements``)
-  and the ``REPRO_BITSET=0`` knob restores the legacy path everywhere
-  with unchanged results.
+* masks round-trip to the sets they encode;
+* the kernel engages only where it is sound (``Domain.bitset_elements``),
+  and every call site gives the same results as the generic per-pair
+  path it replaces; an empty universe runs the packed kernel too.
 """
 
 from __future__ import annotations
@@ -43,6 +43,15 @@ def random_universe(rng: random.Random, n_sets: int, vocab: int):
     ]
 
 
+def decode(universe, mask: int) -> frozenset[str]:
+    """The element set ``mask`` denotes (the inverse of ``encode``)."""
+    return frozenset(
+        element
+        for position, element in enumerate(universe.elements)
+        if mask >> position & 1
+    )
+
+
 class TestInterner:
     def test_sorted_bit_assignment(self):
         universe = bitset.BitsetUniverse(["zebra", "apple", "mango"])
@@ -66,7 +75,7 @@ class TestInterner:
                 element for s in sets for element in s
             )
             for s in sets:
-                assert universe.decode(universe.encode(s)) == s
+                assert decode(universe, universe.encode(s)) == s
 
     def test_encode_within_drops_unknowns(self):
         universe = bitset.BitsetUniverse(["a", "b"])
@@ -78,8 +87,8 @@ class TestInterner:
         universe = bitset.BitsetUniverse([])
         assert len(universe) == 0
         assert universe.encode([]) == 0
-        assert universe.decode(0) == frozenset()
-        assert universe.pack([0, 0]) is None
+        assert decode(universe, 0) == frozenset()
+        assert universe.pack([0, 0]).shape == (2, 0)
 
     def test_words_sized_for_packing(self):
         assert bitset.BitsetUniverse([f"e{i}" for i in range(64)]).words == 1
@@ -87,7 +96,7 @@ class TestInterner:
 
 
 class TestDistanceEquality:
-    def test_jaccard_bits_matches_frozenset_exactly(self):
+    def test_indexed_pair_distances_matches_frozenset_exactly(self):
         rng = random.Random(1)
         for _ in range(30):
             sets = random_universe(rng, n_sets=12, vocab=80)
@@ -95,57 +104,16 @@ class TestDistanceEquality:
                 element for s in sets for element in s
             )
             masks = universe.encode_all(sets)
-            for i, set_a in enumerate(sets):
-                for j, set_b in enumerate(sets):
-                    expected = jaccard_distance(set_a, set_b)
-                    assert bitset.jaccard_bits(masks[i], masks[j]) == expected
-
-    def test_tile_kernel_matches_per_pair_both_paths(self):
-        rng = random.Random(2)
-        sets = random_universe(rng, n_sets=20, vocab=150)
-        universe = bitset.BitsetUniverse(
-            element for s in sets for element in s
-        )
-        masks = universe.encode_all(sets)
-        n = len(sets)
-        for symmetric in (True, False):
-            for packed in (universe.pack(masks), None):
-                result = {
-                    (i, j): value
-                    for i, j, value in bitset.tile_distances(
-                        masks, packed, (0, n), (0, n), symmetric
-                    )
-                }
-                expected = {
-                    (i, j): jaccard_distance(sets[i], sets[j])
-                    for i in range(n)
-                    for j in range(n)
-                    if i != j and not (symmetric and j < i)
-                }
-                assert result == expected
-
-    def test_tile_kernel_partial_tiles(self):
-        rng = random.Random(3)
-        sets = random_universe(rng, n_sets=11, vocab=70)
-        universe = bitset.BitsetUniverse(
-            element for s in sets for element in s
-        )
-        masks = universe.encode_all(sets)
-        packed = universe.pack(masks)
-        merged: dict[tuple[int, int], float] = {}
-        for rows in ((0, 4), (4, 8), (8, 11)):
-            for cols in ((0, 4), (4, 8), (8, 11)):
-                for i, j, value in bitset.tile_distances(
-                    masks, packed, rows, cols, True
-                ):
-                    merged[(i, j)] = value
-        full = {
-            (i, j): value
-            for i, j, value in bitset.tile_distances(
-                masks, packed, (0, 11), (0, 11), True
+            pairs = [(i, j) for i in range(12) for j in range(12)]
+            values = bitset.indexed_pair_distances(
+                universe,
+                masks,
+                [i for i, _ in pairs],
+                [j for _, j in pairs],
             )
-        }
-        assert merged == full
+            assert values == [
+                jaccard_distance(sets[i], sets[j]) for i, j in pairs
+            ]
 
     def test_pair_distances_matches_scalar(self):
         rng = random.Random(4)
@@ -169,8 +137,10 @@ class TestDistanceEquality:
 
     def test_empty_sets_distance_zero(self):
         universe = bitset.BitsetUniverse(["x"])
-        assert bitset.jaccard_bits(0, 0) == 0.0
-        assert bitset.jaccard_bits(0, universe.encode(["x"])) == 1.0
+        masks = [0, universe.encode(["x"])]
+        assert bitset.indexed_pair_distances(
+            universe, masks, [0, 0], [0, 1]
+        ) == [0.0, 1.0]
 
     def test_intersect_all_matches_iterated_intersection(self):
         rng = random.Random(5)
@@ -194,7 +164,8 @@ universe = bitset.BitsetUniverse(e for s in sets for e in s)
 masks = universe.encode_all(sets)
 print(",".join(universe.elements))
 print(",".join(str(m) for m in masks))
-print(",".join(repr(bitset.jaccard_bits(masks[0], m)) for m in masks))
+print(",".join(repr(d) for d in bitset.indexed_pair_distances(
+    universe, masks, [0] * len(masks), range(len(masks)))))
 """
 
 
@@ -227,7 +198,7 @@ class TestUniverseFor:
         encoded = bitset.universe_for(domain, blueprints)
         assert encoded is not None
         universe, masks = encoded
-        assert universe.decode(masks[0]) == blueprints[0]
+        assert decode(universe, masks[0]) == blueprints[0]
         assert masks[1] == 0
 
     def test_image_document_blueprints_encode(self):
@@ -252,18 +223,9 @@ class TestUniverseFor:
             is None
         )
 
-    def test_knob_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BITSET", "0")
-        assert not bitset.bitset_enabled()
-        assert (
-            bitset.universe_for(HtmlDomain(), [frozenset({"a"})]) is None
-        )
-        monkeypatch.setenv("REPRO_BITSET", "1")
-        assert bitset.bitset_enabled()
-
 
 class TestPipelineParity:
-    """The refactored call sites agree with the knob-off legacy paths."""
+    """The packed call sites agree with the generic per-pair path."""
 
     def blueprints(self, count=24):
         rng = random.Random(6)
@@ -273,18 +235,19 @@ class TestPipelineParity:
             for _ in range(count)
         ]
 
-    def test_matrix_bitset_equals_legacy(self, monkeypatch):
+    def test_matrix_bitset_equals_legacy(self):
         domain = HtmlDomain()
         bps = self.blueprints()
-        monkeypatch.setenv("REPRO_BITSET", "1")
-        vectorized = pairwise_distance_matrix(domain, bps)
-        monkeypatch.setenv("REPRO_BITSET", "0")
-        legacy = pairwise_distance_matrix(domain, bps)
-        assert vectorized == legacy
+        generic = pairwise_distance_matrix(domain, bps)
+        universe, masks = bitset.universe_for(domain, bps)
+        pairs = sorted(generic)
+        packed = bitset.indexed_pair_distances(
+            universe, masks, [i for i, _ in pairs], [j for _, j in pairs]
+        )
+        assert packed == [generic[pair] for pair in pairs]
 
     def test_prefill_seeds_serially_under_bitset(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "1")
-        monkeypatch.setenv("REPRO_BITSET", "1")
         domain = HtmlDomain()
         cache = DistanceCache(domain, enabled=True)
         bps = self.blueprints(8)
@@ -296,7 +259,7 @@ class TestPipelineParity:
                 bp_a, bp_b
             )
 
-    def test_fine_cluster_placements_match_legacy(self, monkeypatch):
+    def test_fine_cluster_placements_match_legacy(self):
         rng = random.Random(8)
         vocab = [f"body/table/tr/td{i}" for i in range(20)]
         examples = []
@@ -305,16 +268,30 @@ class TestPipelineParity:
             example = make_example(["x:"], [0])
             example.doc = _BlueprintDoc(frozenset(cells))
             examples.append(example)
-        monkeypatch.setenv("REPRO_BITSET", "1")
-        vectorized = fine_cluster(
-            _BlueprintOnlyDomain(), examples, threshold=0.5
-        )
-        monkeypatch.setenv("REPRO_BITSET", "0")
-        legacy = fine_cluster(_BlueprintOnlyDomain(), examples, threshold=0.5)
+        packed = fine_cluster(_BlueprintOnlyDomain(), examples, threshold=0.5)
+        generic = fine_cluster(_GenericDomain(), examples, threshold=0.5)
         shape = lambda clusters: [  # noqa: E731
             [id(example) for example in cluster] for cluster in clusters
         ]
-        assert shape(vectorized) == shape(legacy)
+        assert len(packed) > 1
+        assert shape(packed) == shape(generic)
+
+    def test_fine_cluster_all_empty_blueprints(self):
+        domain = _BlueprintOnlyDomain()
+        examples = []
+        for _ in range(4):
+            example = make_example(["x:"], [0])
+            example.doc = _BlueprintDoc(frozenset())
+            examples.append(example)
+        universe, masks = bitset.universe_for(
+            domain, [example.doc.blueprint for example in examples]
+        )
+        assert universe.words == 0
+        assert bitset.indexed_pair_distances(
+            universe, masks, [0, 0, 2], [1, 3, 3]
+        ) == [0.0, 0.0, 0.0]
+        clusters = fine_cluster(domain, examples, threshold=0.05)
+        assert [len(cluster) for cluster in clusters] == [4]
 
 
 class _BlueprintDoc:
@@ -331,4 +308,11 @@ class _BlueprintOnlyDomain(HtmlDomain):
         return doc.blueprint
 
     def document_fingerprint(self, doc):
+        return None
+
+
+class _GenericDomain(_BlueprintOnlyDomain):
+    """The same metric with the packed kernel declined."""
+
+    def bitset_elements(self, blueprint):
         return None

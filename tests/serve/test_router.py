@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro.store as store_mod
-from repro.core.bitset import BitsetUniverse
+from repro.core.distance import jaccard_distance
 from repro.serve.router import (
     REASON_MISSING,
     REASON_STALE,
@@ -115,32 +115,54 @@ def test_routes_training_doc_to_its_provider(serve_setup, sample_docs):
         assert distance == 0.0
 
 
-def test_distance_paths_are_bit_identical(serve_setup, sample_docs, monkeypatch):
+def test_distance_paths_are_bit_identical(serve_setup, sample_docs):
+    """Packed router distances equal the frozenset oracle exactly."""
     from repro.html.domain import HtmlDomain
 
     domain = HtmlDomain()
-    catalog = load_catalog(serve_setup.store)
+    router = Router(load_catalog(serve_setup.store))
+    assert router.rows
     blueprints = [
         domain.document_blueprint(doc)
         for docs in sample_docs.values()
         for doc in (*docs.training, *docs.test)
     ]
-
-    packed_router = Router(catalog)
-    assert packed_router._packed is not None, "packed kernel expected"
-
-    monkeypatch.setattr(BitsetUniverse, "pack", lambda self, masks: None)
-    bigint_router = Router(catalog)
-    assert bigint_router._packed is None
-
-    monkeypatch.setenv("REPRO_BITSET", "0")
-    legacy_router = Router(catalog)
-    assert legacy_router._universe is None
-
     for blueprint in blueprints:
-        packed = packed_router.distances(blueprint)
-        assert packed == bigint_router.distances(blueprint)
-        assert packed == legacy_router.distances(blueprint)
+        assert router.distances(blueprint) == [
+            jaccard_distance(row.blueprint, blueprint) for row in router.rows
+        ]
+
+
+def test_empty_routing_blueprints_use_packed_kernel(tmp_path):
+    """An all-empty routing universe packs to zero words, not a fallback."""
+    store = synthetic_store(
+        tmp_path,
+        rows=[row("p1", blueprints=(frozenset(),))],
+        programs={"pk": FixedExtractor(["v"])},
+    )
+    router = Router(load_catalog(store))
+    assert router._packed.shape == (1, 0)
+    assert router.distances(frozenset()) == [0.0]
+    assert router.distances(frozenset({"x"})) == [1.0]
+    entry, distance, diagnostic = router.route("F", frozenset())
+    assert diagnostic is None
+    assert (entry.provider, distance) == ("p1", 0.0)
+    store.close()
+
+
+def test_no_ready_entries_route_to_diagnostic(tmp_path):
+    store = synthetic_store(
+        tmp_path,
+        rows=[row("p1", program_key="absent")],
+        programs={},
+    )
+    router = Router(load_catalog(store))
+    assert router.rows == []
+    assert router.distances(frozenset({"a"})) == []
+    entry, distance, diagnostic = router.route("F", frozenset({"a"}))
+    assert (entry, distance) == (None, None)
+    assert diagnostic["reason"] == REASON_MISSING
+    store.close()
 
 
 def test_route_tie_breaks_deterministically(tmp_path):
